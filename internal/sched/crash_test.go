@@ -10,7 +10,8 @@ import (
 // The test machine has (16-2)*8 = 112 batch cores.
 
 func TestCrashKillsRunningAndBlocksRestarts(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
+	seen := watchEndOrder(t, s)
 	j := mkJob(64, 500, 1000)
 	s.Submit(j)
 
@@ -43,13 +44,17 @@ func TestCrashKillsRunningAndBlocksRestarts(t *testing.T) {
 	if j.StartTime != 600 || j.EndTime != 1100 {
 		t.Errorf("restarted [%v,%v], want [600,1100]", j.StartTime, j.EndTime)
 	}
+	if seen[EventKilled] != 1 {
+		t.Errorf("end order checked at %d crash kills, want 1", seen[EventKilled])
+	}
+	checkEndOrder(t, s)
 }
 
 // Satellite regression: a crash landing inside an already-scheduled
 // maintenance window must merge with it — one window, one outage-end, no
 // double-released cores — instead of stacking an independent window.
 func TestCrashInsideMaintenanceWindowMerges(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
 	if err := s.ScheduleOutage(200, 400); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +94,7 @@ func TestCrashInsideMaintenanceWindowMerges(t *testing.T) {
 }
 
 func TestCrashExtendingMaintenanceWindow(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
 	if err := s.ScheduleOutage(200, 400); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +128,7 @@ func TestCrashExtendingMaintenanceWindow(t *testing.T) {
 }
 
 func TestOverlappingMaintenanceWindowsMerge(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
 	if err := s.ScheduleOutage(100, 300); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +161,8 @@ func TestOverlappingMaintenanceWindowsMerge(t *testing.T) {
 }
 
 func TestNodeFailureShrinksCapacityAndKills(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
+	seen := watchEndOrder(t, s)
 	a := mkJob(60, 1000, 2000)
 	b := mkJob(52, 1000, 2000)
 	s.Submit(a)
@@ -188,10 +194,14 @@ func TestNodeFailureShrinksCapacityAndKills(t *testing.T) {
 	if b.StartTime != 600 || b.EndTime != 1600 {
 		t.Errorf("b restarted [%v,%v], want [600,1600]", b.StartTime, b.EndTime)
 	}
+	if seen[EventKilled] != 1 {
+		t.Errorf("end order checked at %d node-fail kills, want 1", seen[EventKilled])
+	}
+	checkEndOrder(t, s)
 }
 
 func TestCrashCheckpointCreditAndWaste(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
 	s.CheckpointRestart = true
 	s.CheckpointInterval = 100
 	j := mkJob(64, 1000, 2000)
@@ -218,7 +228,7 @@ func TestCrashCheckpointCreditAndWaste(t *testing.T) {
 }
 
 func TestCheckpointOverheadDilatesRuns(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
 	s.CheckpointRestart = true
 	s.CheckpointInterval = 100
 	s.CheckpointOverhead = 10

@@ -18,6 +18,11 @@ func (e *easyEngine) Schedule(s *Scheduler) { easyPass(s, &e.q) }
 // easyPass is the EASY scheduling pass over queue q, shared by the easy and
 // fairshare engines (fairshare is purely an ordering refinement on top).
 func easyPass(s *Scheduler, q *[]*job.Job) {
+	if len(*q) == 0 || s.freeBatch == 0 {
+		// Nothing can start or backfill into zero free cores, so there is
+		// no profile to build.
+		return
+	}
 	now := s.K.Now()
 	p := s.buildProfile()
 	// Start jobs in order while they fit.

@@ -99,10 +99,11 @@ func gangCores(g []*job.Job) int {
 }
 
 // fitsTogether reports whether every member of g can start now
-// simultaneously under p (checked against a scratch copy).
+// simultaneously under p (checked against the scheduler's spare copy).
 func (e *gangEngine) fitsTogether(s *Scheduler, p *profile, g []*job.Job) bool {
 	now := s.K.Now()
-	scratch := p.clone()
+	scratch := &s.spare
+	scratch.copyFrom(p)
 	for _, j := range g {
 		if !s.startableNow(scratch, j) {
 			return false

@@ -15,7 +15,11 @@ import (
 //
 // The representation is a sorted slice of points; points[i].free holds from
 // points[i].t (inclusive) until points[i+1].t (exclusive). The last point
-// extends to infinity. Invariant: times strictly increase.
+// extends to infinity. Invariant: times strictly increase. Every query reads
+// the step function only, so a redundant breakpoint (equal free on both
+// sides) changes no answer. Queries cost one binary search plus a forward
+// scan over the segments they cover; earliestFit is linear in the segments
+// at or after its origin.
 type profile struct {
 	points []profilePoint
 }
@@ -30,11 +34,16 @@ func newProfile(origin des.Time, free int) *profile {
 	return &profile{points: []profilePoint{{t: origin, free: free}}}
 }
 
-// clone returns a deep copy, used for tentative planning.
-func (p *profile) clone() *profile {
-	cp := make([]profilePoint, len(p.points))
-	copy(cp, p.points)
-	return &profile{points: cp}
+// reset makes p a single segment of free cores from time origin, reusing
+// its point buffer.
+func (p *profile) reset(origin des.Time, free int) {
+	p.points = append(p.points[:0], profilePoint{t: origin, free: free})
+}
+
+// copyFrom makes p a copy of q, reusing p's point buffer; used for
+// tentative planning.
+func (p *profile) copyFrom(q *profile) {
+	p.points = append(p.points[:0], q.points...)
 }
 
 // splitAt ensures a point exists exactly at time t (within the profile's
@@ -147,21 +156,6 @@ func (p *profile) segmentIndex(t des.Time) int {
 	return lo
 }
 
-// firstViolation returns the index of the first segment overlapping
-// [start, end) whose free cores are below cores, or -1 when the rectangle
-// fits. It scans only overlapping segments, starting from a binary search.
-func (p *profile) firstViolation(start, end des.Time, cores int) int {
-	for i := p.segmentIndex(start); i < len(p.points); i++ {
-		if p.points[i].t >= end {
-			break
-		}
-		if p.points[i].free < cores {
-			return i
-		}
-	}
-	return -1
-}
-
 // minFree returns the minimum free cores over [start, end).
 func (p *profile) minFree(start, end des.Time) int {
 	if end <= start {
@@ -187,28 +181,33 @@ func (p *profile) freeAt(t des.Time) int {
 // earliestFit returns the earliest time ≥ from at which a (cores, duration)
 // rectangle fits entirely within the profile. Candidate start times are the
 // profile's step points (free cores only increase at job completions, so
-// checking steps is sufficient); on a violation the candidate jumps past
-// the violating segment, so the scan is near-linear in the number of
-// segments. The search always terminates because the final segment extends
-// to infinity; if cores never fit there the capacity is simply too small
-// and the caller must reject the job beforehand.
+// checking steps is sufficient). One binary search finds the segment
+// holding from; after that the scan only walks forward: when segment v is
+// too small, the next candidate is points[v+1].t, whose segment is v+1, and
+// the segments before it never need rechecking. The search always
+// terminates because the final segment extends to infinity; if cores never
+// fit there the capacity is simply too small and the caller must reject the
+// job beforehand.
 func (p *profile) earliestFit(from des.Time, cores int, duration des.Time) (des.Time, bool) {
 	if duration <= 0 {
 		duration = 1
 	}
+	pts := p.points
 	cand := from
-	if cand < p.points[0].t {
-		cand = p.points[0].t
+	if cand < pts[0].t {
+		cand = pts[0].t
 	}
-	for {
-		v := p.firstViolation(cand, cand+duration, cores)
-		if v < 0 {
-			return cand, true
+	end := cand + duration
+	for k := p.segmentIndex(cand); k < len(pts) && pts[k].t < end; k++ {
+		if pts[k].free >= cores {
+			continue
 		}
-		if v+1 >= len(p.points) {
+		if k+1 >= len(pts) {
 			// The violating segment extends to infinity.
 			return 0, false
 		}
-		cand = p.points[v+1].t
+		cand = pts[k+1].t
+		end = cand + duration
 	}
+	return cand, true
 }

@@ -17,61 +17,13 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/grid"
 	"github.com/tgsim/tgmod/internal/job"
 )
-
-// Policy selects a batch scheduling algorithm by enum value.
-//
-// Deprecated: the enum is frozen at the four original policies and exists
-// only for source compatibility. Use engine names with NewNamed (or
-// NewEngine) instead; new engines are registered by name and never get
-// enum values.
-type Policy int
-
-// Batch scheduling policies.
-//
-// Deprecated: use engine names ("fcfs", "easy", "conservative",
-// "fairshare", "gang", "priority") with NewNamed.
-const (
-	FCFS         Policy = iota // strict first-come first-served
-	EASY                       // aggressive backfill with one reservation (head job)
-	Conservative               // backfill with reservations for every queued job
-	FairShare                  // EASY ordered by decayed per-user usage
-)
-
-// String returns the policy's engine name.
-func (p Policy) String() string {
-	switch p {
-	case FCFS:
-		return "fcfs"
-	case EASY:
-		return "easy"
-	case Conservative:
-		return "conservative"
-	case FairShare:
-		return "fairshare"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// PolicyByName maps a legacy engine name to its enum value.
-//
-// Deprecated: compat shim for callers still carrying Policy values. Only
-// the four original policies have enum values; "gang" and "priority" (and
-// any externally registered engine) are reachable only through NewNamed.
-func PolicyByName(name string) (Policy, error) {
-	for _, p := range []Policy{FCFS, EASY, Conservative, FairShare} {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("sched: no legacy Policy value for engine %q", name)
-}
 
 // Event is a job lifecycle notification delivered to listeners.
 type Event struct {
@@ -206,8 +158,13 @@ type Scheduler struct {
 	freeBatch int
 	freeViz   int
 
-	vizQueue   []*job.Job // interactive partition queue
-	running    map[job.ID]*running
+	vizQueue []*job.Job // interactive partition queue
+	running  map[job.ID]*running
+	// byEnd holds exactly the non-interactive entries of running, ordered
+	// by endsBy (ties in any order): the running-jobs staircase of the
+	// planning profile is read off it in one pass. track and untrack are
+	// the only writers of running and byEnd.
+	byEnd      []*running
 	resvs      []*reservation
 	outages    []*outage
 	nodeLosses []*capLoss
@@ -226,16 +183,21 @@ type Scheduler struct {
 	rescheduling   bool
 	needReschedule bool
 
+	// Planning buffers, reused so that a pass allocates nothing once warm:
+	// plan is the profile every engine pass works on (buildProfile), spare
+	// is the gang engine's tentative copy of it.
+	plan, spare profile
+
 	// Estimate cache. The conservative queue plan EstimateStart builds is
 	// a pure function of scheduler state, and the metascheduler polls
 	// every machine for every brokered arrival — profiling shows that
 	// replanning dominating large runs. stateVersion fingerprints every
 	// queue/running/reservation/outage mutation; a matching version means
-	// the cached planned profile (which earliestFit reads without
-	// mutating) is still exact.
+	// the planned profile in est (which earliestFit reads without
+	// mutating) is still exact. est is its own buffer, rebuilt in place.
 	stateVersion uint64
 	estVersion   uint64
-	estProfile   *profile
+	est          profile
 	estTail      des.Time
 }
 
@@ -257,18 +219,6 @@ type Stats struct {
 type fsEntry struct {
 	usage float64
 	at    des.Time
-}
-
-// New returns a scheduler for machine m using a legacy enum policy.
-//
-// Deprecated: use NewNamed with an engine name, which reaches every
-// registered engine instead of only the four enum values.
-func New(k *des.Kernel, m *grid.Machine, policy Policy) *Scheduler {
-	s, err := NewNamed(k, m, policy.String())
-	if err != nil {
-		panic("sched: " + err.Error())
-	}
-	return s
 }
 
 // NewNamed returns a scheduler for machine m driven by kernel k, running
@@ -430,27 +380,91 @@ func (s *Scheduler) reject(j *job.Job) {
 
 // ---- Batch partition ----
 
-// buildProfile constructs the availability profile from running batch jobs'
-// guaranteed ends plus all committed reservations. Claimed-and-running
-// reservation jobs are already accounted as running jobs.
+// track records a job that just started executing.
+func (s *Scheduler) track(r *running) {
+	s.running[r.j.ID] = r
+	if r.j.QOS == job.QOSInteractive {
+		return
+	}
+	// Insert after every entry ending no later, so equal ends keep start
+	// order (any order would do: the profile reads sums only).
+	i := sort.Search(len(s.byEnd), func(i int) bool { return s.byEnd[i].endsBy > r.endsBy })
+	s.byEnd = slices.Insert(s.byEnd, i, r)
+}
+
+// untrack forgets a job that stopped executing (finished, preempted, or
+// killed).
+func (s *Scheduler) untrack(r *running) {
+	delete(s.running, r.j.ID)
+	if r.j.QOS == job.QOSInteractive {
+		return
+	}
+	first := sort.Search(len(s.byEnd), func(i int) bool { return s.byEnd[i].endsBy >= r.endsBy })
+	for i := first; i < len(s.byEnd); i++ {
+		if s.byEnd[i] == r {
+			s.byEnd = slices.Delete(s.byEnd, i, i+1)
+			return
+		}
+	}
+	panic(fmt.Sprintf("sched %s: job %d missing from the end-ordered running set", s.M.ID, r.j.ID))
+}
+
+// holdUntil returns the instant up to which the planning profile holds a
+// running job's cores: its guaranteed end. A job whose guaranteed end
+// equals the current instant may still be running — its finish event fires
+// later within this timestamp — so its cores are held for an infinitesimal
+// sliver to keep profile and partition state consistent; the finish event
+// triggers a fresh reschedule at the same virtual time. When the sliver
+// rounds away at large times the result is now and the job holds nothing.
+func holdUntil(r *running, now des.Time) des.Time {
+	if r.endsBy <= now {
+		return now + 1e-9
+	}
+	return r.endsBy
+}
+
+// buildProfile rebuilds the scheduler-owned planning profile from running
+// batch jobs' guaranteed ends plus all committed reservations, node losses,
+// and outages, and returns it. The result is valid until the next call;
+// engines use it for one Schedule pass.
 func (s *Scheduler) buildProfile() *profile {
+	s.fillProfile(&s.plan)
+	return &s.plan
+}
+
+// fillProfile builds the availability profile into p, reusing p's buffer.
+// Claimed-and-running reservation jobs are already accounted as running
+// jobs.
+//
+// The running jobs form a staircase read off byEnd in one ordered pass:
+// capacity minus every held core at now, then one step up per distinct
+// guaranteed end — no map walk, no sort, no insertion. Free cores never
+// fall after now on that staircase, so overcommit is one check at now.
+func (s *Scheduler) fillProfile(p *profile) {
 	now := s.K.Now()
-	p := newProfile(now, s.M.BatchCores())
-	// Running jobs hold cores until their guaranteed end. A job whose
-	// guaranteed end equals the current instant may still be running —
-	// its finish event fires later within this timestamp — so hold its
-	// cores for an infinitesimal sliver to keep profile and partition
-	// state consistent; the finish event triggers a fresh reschedule at
-	// the same virtual time.
-	for _, r := range s.running {
-		if r.j.QOS == job.QOSInteractive {
+	busy := 0
+	for _, r := range s.byEnd {
+		if holdUntil(r, now) > now {
+			busy += r.j.Cores
+		}
+	}
+	free := s.M.BatchCores() - busy
+	if free < 0 {
+		panic(fmt.Sprintf("sched: profile overcommitted at %v: %d cores short", now, -free))
+	}
+	p.reset(now, free)
+	for _, r := range s.byEnd {
+		end := holdUntil(r, now)
+		if end <= now || end == des.Forever {
+			// Holds nothing, or holds past every instant a profile names.
 			continue
 		}
-		end := r.endsBy
-		if end <= now {
-			end = now + 1e-9
+		free += r.j.Cores
+		if last := &p.points[len(p.points)-1]; last.t == end {
+			last.free = free
+		} else {
+			p.points = append(p.points, profilePoint{t: end, free: free})
 		}
-		p.subtract(now, end, r.j.Cores)
 	}
 	for _, rv := range s.resvs {
 		start := rv.start
@@ -483,7 +497,6 @@ func (s *Scheduler) buildProfile() *profile {
 			p.capTo(start, o.end, 0)
 		}
 	}
-	return p
 }
 
 // ---- Maintenance outages ----
@@ -673,7 +686,7 @@ func (s *Scheduler) startBatch(j *job.Job, fromResID string) {
 	r.endTimer = s.K.ScheduleNamed(dur, "job-end", func(*des.Kernel) {
 		s.finish(r, killed)
 	})
-	s.running[j.ID] = r
+	s.track(r)
 	s.stats.Started++
 	s.emit(EventStarted, j)
 }
@@ -681,7 +694,7 @@ func (s *Scheduler) startBatch(j *job.Job, fromResID string) {
 // finish completes a running batch or viz job.
 func (s *Scheduler) finish(r *running, killed bool) {
 	j := r.j
-	delete(s.running, j.ID)
+	s.untrack(r)
 	j.EndTime = s.K.Now()
 	if killed {
 		j.State = job.StateKilled
@@ -749,7 +762,7 @@ func (s *Scheduler) startUrgent(j *job.Job) {
 func (s *Scheduler) preempt(r *running) {
 	j := r.j
 	s.K.Cancel(r.endTimer)
-	delete(s.running, j.ID)
+	s.untrack(r)
 	s.accumulate()
 	s.freeBatch += j.Cores
 	if s.CheckpointRestart {
@@ -803,7 +816,7 @@ func (s *Scheduler) checkpointCredit(j *job.Job) des.Time {
 func (s *Scheduler) killRunning(r *running, kind string) {
 	j := r.j
 	s.K.Cancel(r.endTimer)
-	delete(s.running, j.ID)
+	s.untrack(r)
 	s.accumulate()
 	s.freeBatch += j.Cores
 	ran := s.K.Now() - j.StartTime
@@ -971,7 +984,7 @@ func (s *Scheduler) dispatchViz() {
 		r.endTimer = s.K.ScheduleNamed(dur, "viz-end", func(*des.Kernel) {
 			s.finish(r, killed)
 		})
-		s.running[head.ID] = r
+		s.track(r)
 		s.stats.Started++
 		s.emit(EventStarted, head)
 	}
@@ -996,7 +1009,10 @@ func (s *Scheduler) Reserve(id string, cores int, start, end des.Time) error {
 			return fmt.Errorf("sched %s: duplicate reservation %s", s.M.ID, id)
 		}
 	}
-	p := s.buildProfile()
+	// A fresh profile, not the pass buffer: a listener may reserve from
+	// inside an engine pass.
+	var p profile
+	s.fillProfile(&p)
 	if p.minFree(start, end) < cores {
 		return fmt.Errorf("sched %s: reservation %s: %d cores not free over [%v,%v)",
 			s.M.ID, id, cores, start, end)
@@ -1081,8 +1097,9 @@ func (s *Scheduler) EstimateStart(cores int, walltime des.Time) (des.Time, bool)
 	// availability picture, the plan below stays exact, and the common
 	// metascheduler pattern — estimate every machine, then estimate again
 	// for co-allocation — reuses it instead of replanning the whole queue.
-	if s.estProfile == nil || s.estVersion != s.stateVersion {
-		p := s.buildProfile()
+	if len(s.est.points) == 0 || s.estVersion != s.stateVersion {
+		p := &s.est
+		s.fillProfile(p)
 		// The estimator plans the queue in detail up to a depth bound, then
 		// folds anything beyond it into an aggregate backlog term (total
 		// requested core-seconds divided by machine capacity). Detailed
@@ -1110,11 +1127,10 @@ func (s *Scheduler) EstimateStart(cores int, walltime des.Time) (des.Time, bool)
 			}
 			tail = des.Time(tailCS / float64(s.M.BatchCores()))
 		}
-		s.estProfile = p
 		s.estTail = tail
 		s.estVersion = s.stateVersion
 	}
-	at, ok := s.estProfile.earliestFit(s.K.Now(), cores, walltime)
+	at, ok := s.est.earliestFit(s.K.Now(), cores, walltime)
 	if !ok {
 		return 0, false
 	}

@@ -27,18 +27,25 @@ func testMachine() *grid.Machine {
 	}
 }
 
-func newTestSched(p Policy) (*des.Kernel, *Scheduler) {
+func newTestSched(engine string) (*des.Kernel, *Scheduler) {
 	k := des.New()
-	return k, New(k, testMachine(), p)
+	return k, MustNamed(k, testMachine(), engine)
 }
 
+// TestPolicyString: a scheduler reports the engine it was built with, and
+// MustNamed rejects names outside the registry.
 func TestPolicyString(t *testing.T) {
-	if FCFS.String() != "fcfs" || EASY.String() != "easy" || Conservative.String() != "conservative" {
-		t.Error("policy names wrong")
+	for _, name := range []string{"fcfs", "easy", "conservative"} {
+		if _, s := newTestSched(name); s.EngineName() != name {
+			t.Errorf("scheduler built with %q reports %q", name, s.EngineName())
+		}
 	}
-	if Policy(9).String() != "policy(9)" {
-		t.Error("unknown policy name wrong")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MustNamed accepted an unknown engine")
+		}
+	}()
+	newTestSched("policy(9)")
 }
 
 func TestEventKindString(t *testing.T) {
@@ -54,7 +61,8 @@ func TestEventKindString(t *testing.T) {
 }
 
 func TestFCFSRunsInOrder(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
+	seen := watchEndOrder(t, s)
 	var order []job.ID
 	s.Subscribe(func(e Event) {
 		if e.Kind == EventStarted {
@@ -81,10 +89,14 @@ func TestFCFSRunsInOrder(t *testing.T) {
 			t.Errorf("%v not completed", j)
 		}
 	}
+	if seen[EventStarted] != 3 || seen[EventFinished] != 3 {
+		t.Errorf("end order checked at %d starts, %d finishes; want 3, 3", seen[EventStarted], seen[EventFinished])
+	}
+	checkEndOrder(t, s)
 }
 
 func TestFCFSHeadOfLineBlocks(t *testing.T) {
-	k, s := newTestSched(FCFS)
+	k, s := newTestSched("fcfs")
 	big := mkJob(112, 100, 100)
 	blocked := mkJob(100, 10, 10)
 	tiny := mkJob(1, 10, 10)
@@ -98,7 +110,7 @@ func TestFCFSHeadOfLineBlocks(t *testing.T) {
 }
 
 func TestEASYBackfills(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	big := mkJob(112, 100, 100)  // occupies whole batch partition until 100
 	waiter := mkJob(112, 50, 50) // head of queue, reserved at t=100
 	filler := mkJob(8, 90, 90)   // fits before the reservation? no cores free
@@ -118,7 +130,7 @@ func TestEASYBackfills(t *testing.T) {
 }
 
 func TestEASYBackfillUsesHoles(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	// 112 batch cores. big leaves 12 free until t=100.
 	big := mkJob(100, 100, 100)
 	head := mkJob(112, 100, 100) // must wait for whole machine at t=100
@@ -141,7 +153,7 @@ func TestEASYBackfillUsesHoles(t *testing.T) {
 }
 
 func TestConservativeDoesNotDelayAnyEarlier(t *testing.T) {
-	k, s := newTestSched(Conservative)
+	k, s := newTestSched("conservative")
 	// Construct: j1 uses all cores [0,100). j2 (head of queue) wants all
 	// cores → planned [100,200). j3 wants 12 cores for 150 → planned at
 	// 200 under conservative (would overlap j2's plan otherwise).
@@ -161,7 +173,7 @@ func TestConservativeDoesNotDelayAnyEarlier(t *testing.T) {
 }
 
 func TestConservativeBackfillsWhenHarmless(t *testing.T) {
-	k, s := newTestSched(Conservative)
+	k, s := newTestSched("conservative")
 	j1 := mkJob(100, 100, 100) // leaves 12 cores idle
 	j2 := mkJob(112, 100, 100) // planned at 100
 	j3 := mkJob(12, 80, 80)    // fits in [0,80) without delaying j2
@@ -178,10 +190,15 @@ func TestConservativeBackfillsWhenHarmless(t *testing.T) {
 }
 
 func TestWalltimeKill(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
+	seen := watchEndOrder(t, s)
 	j := mkJob(8, 500, 100) // needs 500s but only requested 100
 	s.Submit(j)
 	k.Run()
+	if seen[EventFinished] != 1 {
+		t.Errorf("end order checked at %d finishes, want 1", seen[EventFinished])
+	}
+	checkEndOrder(t, s)
 	if j.State != job.StateKilled {
 		t.Errorf("state = %v, want killed", j.State)
 	}
@@ -191,7 +208,7 @@ func TestWalltimeKill(t *testing.T) {
 }
 
 func TestRejectOversize(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	var rejected []*job.Job
 	s.Subscribe(func(e Event) {
 		if e.Kind == EventRejected {
@@ -207,7 +224,8 @@ func TestRejectOversize(t *testing.T) {
 }
 
 func TestUrgentPreempts(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
+	seen := watchEndOrder(t, s)
 	victim := mkJob(112, 1000, 1000)
 	s.Submit(victim)
 	urgent := mkJob(50, 100, 100)
@@ -231,10 +249,14 @@ func TestUrgentPreempts(t *testing.T) {
 	if got := s.Stats().Preemptions; got != 1 {
 		t.Errorf("scheduler preemption count = %d, want 1", got)
 	}
+	if seen[EventPreempted] != 1 {
+		t.Errorf("end order checked at %d preemptions, want 1", seen[EventPreempted])
+	}
+	checkEndOrder(t, s)
 }
 
 func TestUrgentPrefersFreeCores(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	small := mkJob(10, 1000, 1000)
 	s.Submit(small)
 	urgent := mkJob(50, 10, 10)
@@ -253,7 +275,7 @@ func TestUrgentOnNonCapableMachineRejected(t *testing.T) {
 	k := des.New()
 	m := testMachine()
 	m.UrgentCapable = false
-	s := New(k, m, EASY)
+	s := MustNamed(k, m, "easy")
 	u := mkJob(8, 10, 10)
 	u.QOS = job.QOSUrgent
 	s.Submit(u)
@@ -264,7 +286,8 @@ func TestUrgentOnNonCapableMachineRejected(t *testing.T) {
 }
 
 func TestInteractivePartition(t *testing.T) {
-	k, s := newTestSched(EASY) // 2 viz nodes = 16 cores
+	k, s := newTestSched("easy") // 2 viz nodes = 16 cores
+	watchEndOrder(t, s)          // viz sessions stay out of the end-ordered set
 	batch := mkJob(112, 1000, 1000)
 	s.Submit(batch) // batch partition fully busy
 	viz := mkJob(8, 60, 120)
@@ -280,7 +303,7 @@ func TestInteractivePartition(t *testing.T) {
 }
 
 func TestInteractiveQueuesWhenVizFull(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	v1 := mkJob(16, 100, 100)
 	v1.QOS = job.QOSInteractive
 	v2 := mkJob(8, 50, 50)
@@ -294,7 +317,8 @@ func TestInteractiveQueuesWhenVizFull(t *testing.T) {
 }
 
 func TestReservationBlocksBackfillAndRuns(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
+	watchEndOrder(t, s)
 	if err := s.Reserve("co-1", 112, 100, 200); err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +329,15 @@ func TestReservationBlocksBackfillAndRuns(t *testing.T) {
 	if err := s.ClaimReservation("co-1", claimed); err != nil {
 		t.Fatal(err)
 	}
+	k.AtNamed(100, "test-check", func(*des.Kernel) {
+		// Claim start is a probe plus startBatch inside the activation.
+		if s.running[claimed.ID] == nil {
+			t.Error("claimed job not running at reservation start")
+		}
+		checkEndOrder(t, s)
+	})
 	k.Run()
+	checkEndOrder(t, s)
 	if claimed.StartTime != 100 {
 		t.Errorf("claimed job start = %v, want reservation start 100", claimed.StartTime)
 	}
@@ -317,7 +349,7 @@ func TestReservationBlocksBackfillAndRuns(t *testing.T) {
 }
 
 func TestReservationErrors(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	if err := s.Reserve("r1", 112, 10, 20); err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +386,7 @@ func TestReservationErrors(t *testing.T) {
 }
 
 func TestCancelReservation(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	if err := s.Reserve("r1", 112, 100, 200); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +405,7 @@ func TestCancelReservation(t *testing.T) {
 }
 
 func TestEstimateStart(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	s.Submit(mkJob(112, 100, 100))
 	s.Submit(mkJob(112, 100, 100))
 	// Estimate for a full-machine job: after both queued jobs → 200.
@@ -391,7 +423,7 @@ func TestEstimateStart(t *testing.T) {
 }
 
 func TestUtilization(t *testing.T) {
-	k, s := newTestSched(EASY)
+	k, s := newTestSched("easy")
 	s.Submit(mkJob(56, 100, 100)) // half the batch partition for 100s
 	k.Run()
 	k.RunUntil(200) // idle for another 100s
@@ -402,7 +434,7 @@ func TestUtilization(t *testing.T) {
 }
 
 func TestSubmitInvalidPanics(t *testing.T) {
-	_, s := newTestSched(EASY)
+	_, s := newTestSched("easy")
 	defer func() {
 		if recover() == nil {
 			t.Error("invalid job submission did not panic")
@@ -415,12 +447,12 @@ func TestSubmitInvalidPanics(t *testing.T) {
 // checks the fundamental invariants: cores are never overcommitted, every
 // job eventually reaches a terminal state, and started+queue counts add up.
 func TestNoOvercommitProperty(t *testing.T) {
-	for _, pol := range []Policy{FCFS, EASY, Conservative} {
+	for _, pol := range []string{"fcfs", "easy", "conservative"} {
 		pol := pol
 		f := func(seed uint64) bool {
 			r := simrand.New(seed)
 			k := des.New()
-			s := New(k, testMachine(), pol)
+			s := MustNamed(k, testMachine(), pol)
 			minFree := 0
 			s.Subscribe(func(e Event) {
 				if s.FreeBatchCores() < minFree {
@@ -469,7 +501,7 @@ func TestBackfillNeverDelaysHead(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := simrand.New(seed)
 		k := des.New()
-		s := New(k, testMachine(), EASY)
+		s := MustNamed(k, testMachine(), "easy")
 		// Fill the machine, then submit a known head job and random filler.
 		base := mkJob(112, 100, 100)
 		s.Submit(base)
