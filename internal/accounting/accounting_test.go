@@ -1,6 +1,8 @@
 package accounting
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -128,6 +130,9 @@ func TestCentralIngestIdempotent(t *testing.T) {
 	}
 }
 
+// TestCentralIngestWire: a packet that crossed the wire (encode, then
+// decode on the consumer side) ingests like the original; bad wire data
+// never reaches the store.
 func TestCentralIngestWire(t *testing.T) {
 	c := NewCentral()
 	p := &Packet{Site: "s", Seq: 1, Jobs: []JobRecord{{JobID: 5}}}
@@ -135,14 +140,79 @@ func TestCentralIngestWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.IngestWire(data); err != nil {
+	q, err := DecodePacket(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ingest(q); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Job(5); !ok {
 		t.Error("wire-ingested job not found")
 	}
-	if err := c.IngestWire([]byte("{")); err == nil {
+	if _, err := DecodePacket([]byte("{")); err == nil {
 		t.Error("bad wire data accepted")
+	}
+}
+
+// TestCentralGrowth: many small packets grow the job store geometrically
+// (×1.5, one copy per growth, never more slack than that), and growth
+// does not disturb lookups or duplicate handling.
+func TestCentralGrowth(t *testing.T) {
+	c := NewCentral()
+	const packets, perPacket = 2000, 7
+	reallocs := 0
+	id := int64(0)
+	for seq := uint64(1); seq <= packets; seq++ {
+		jobs := make([]JobRecord, 0, perPacket)
+		if seq%100 == 0 {
+			// A re-sent record: counted as a duplicate and skipped.
+			jobs = append(jobs, JobRecord{JobID: 1, NUs: -1})
+		}
+		for len(jobs) < perPacket {
+			id++
+			jobs = append(jobs, JobRecord{JobID: id, User: fmt.Sprint("u", id), NUs: float64(id)})
+		}
+		before := cap(c.Jobs())
+		need := len(c.Jobs()) + len(jobs)
+		if err := c.Ingest(&Packet{Site: "s", Seq: seq, Jobs: jobs}); err != nil {
+			t.Fatal(err)
+		}
+		after := cap(c.Jobs())
+		if after != before {
+			reallocs++
+			if limit := max(need, before+before/2); after > limit {
+				t.Fatalf("packet %d: cap %d -> %d, want <= max(need %d, 1.5x cap) = %d",
+					seq, before, after, need, limit)
+			}
+		}
+	}
+	n := len(c.Jobs())
+	if want := int(id); n != want {
+		t.Fatalf("stored %d jobs, want %d", n, want)
+	}
+	// ×1.5 growth from the first packet's size: about log1.5(n/7) copies.
+	if limit := int(math.Ceil(math.Log(float64(n)/perPacket)/math.Log(1.5))) + 2; reallocs > limit {
+		t.Errorf("%d reallocations for %d jobs, want <= %d (logarithmic)", reallocs, n, limit)
+	}
+	if c.Duplicates() != packets/100 {
+		t.Errorf("duplicates = %d, want %d", c.Duplicates(), packets/100)
+	}
+	for _, want := range []int64{1, 2, 700, int64(n)} {
+		r, ok := c.Job(want)
+		if !ok || r.JobID != want || r.User != fmt.Sprint("u", want) {
+			t.Errorf("Job(%d) = %+v, %v", want, r, ok)
+		}
+	}
+	if r, _ := c.Job(1); r.NUs != 1 {
+		t.Errorf("duplicate overwrote the first record: NUs = %v", r.NUs)
+	}
+	// A re-delivered packet is still skipped whole.
+	if err := c.Ingest(&Packet{Site: "s", Seq: packets, Jobs: []JobRecord{{JobID: id + 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Jobs()) != n {
+		t.Error("re-delivered packet was ingested")
 	}
 }
 

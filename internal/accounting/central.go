@@ -45,13 +45,15 @@ func (c *Central) Ingest(p *Packet) error {
 		return fmt.Errorf("accounting: site %s packet gap: got seq %d, want %d", p.Site, p.Seq, last+1)
 	}
 	c.seen[p.Site] = p.Seq
-	for _, r := range p.Jobs {
+	c.reserveJobs(len(p.Jobs))
+	for i := range p.Jobs {
+		r := &p.Jobs[i]
 		if _, dup := c.jobIndex[r.JobID]; dup {
 			c.duplicates++
 			continue
 		}
 		c.jobIndex[r.JobID] = len(c.jobs)
-		c.jobs = append(c.jobs, r)
+		c.jobs = append(c.jobs, *r)
 	}
 	c.transfers = append(c.transfers, p.Transfers...)
 	c.gatewayAttrs = append(c.gatewayAttrs, p.GatewayAttrs...)
@@ -59,14 +61,20 @@ func (c *Central) Ingest(p *Packet) error {
 	return nil
 }
 
-// IngestWire decodes and ingests a wire-form packet, exercising the full
-// serialization path.
-func (c *Central) IngestWire(data []byte) error {
-	p, err := DecodePacket(data)
-	if err != nil {
-		return err
+// reserveJobs makes room for n more job records with at most one copy.
+// The store grows ×1.5 rather than append's ×2 for small slices (or
+// ×1.25 for large ones): records are large and pointer-bearing, so each
+// growth zeroes and copies the whole store, and a fleet or daemon keeps
+// many stores alive at once, so slack costs peak heap. Jobs() stays one
+// flat slice because ~30 readers index it directly.
+func (c *Central) reserveJobs(n int) {
+	need := len(c.jobs) + n
+	if need <= cap(c.jobs) {
+		return
 	}
-	return c.Ingest(p)
+	grown := make([]JobRecord, len(c.jobs), max(need, cap(c.jobs)+cap(c.jobs)/2))
+	copy(grown, c.jobs)
+	c.jobs = grown
 }
 
 // Duplicates returns how many duplicate packets/records were skipped.

@@ -218,7 +218,9 @@ func (l *Ledger) Flush(now des.Time) *Packet {
 		Jobs: l.jobs, Transfers: l.transfers,
 		GatewayAttrs: l.gatewayAttrs, Storage: l.storage,
 	}
-	l.jobs = nil
+	// The next interval's spool starts at this one's size, so a steady
+	// flush rate spools without growth copies.
+	l.jobs = make([]JobRecord, 0, len(p.Jobs))
 	l.transfers = nil
 	l.gatewayAttrs = nil
 	l.storage = nil

@@ -1,10 +1,11 @@
-// Binary wire codec for accounting packets. The periodic ledger flush
-// encodes and immediately decodes every packet (the simulated AMIE wire),
-// and kernel self-profiling shows the JSON round trip dominating the
-// acct-flush event — reflection-driven marshal plus unmarshal is the
-// single most expensive handler at quick scale. The hand-rolled codec
-// below writes the same schema as length-prefixed fields in fixed order:
-// no reflection, no intermediate maps, one buffer.
+// Binary wire codec for accounting packets: the simulated AMIE wire
+// between a producer and a process that is not the simulation itself.
+// Push frames to tgobsd carry it, the daemon decodes it into its per-run
+// store, and the in-process ledger flush encodes it only to count wire
+// bytes for telemetry (it hands packets to the central database
+// directly). The hand-rolled codec writes the record schema as
+// length-prefixed fields in fixed order: no reflection, no intermediate
+// maps, one buffer.
 //
 // The wire format is internal to the simulation (producer and consumer
 // are the same build), so evolution is handled with a plain version byte.

@@ -494,10 +494,13 @@ func Run(cfg Config) (*Result, error) {
 			gateways, bank, &finished, rec)
 	}
 
-	// Periodic accounting reporting over the simulated wire. Packet taps
-	// (the streaming observatory's live ingest seam) observe each packet
-	// after the central ingest, in deterministic site order.
-	// The phase profiler charges the ledger flush / wire encode / central
+	// Periodic accounting reporting. Each site ledger's packet goes
+	// straight into the central database: producer and consumer share one
+	// process, so the AMIE wire is modelled only by its byte count, encoded
+	// when telemetry is attached. Central copies records by value, so
+	// packet taps (the streaming observatory's live ingest seam) observe an
+	// unshared packet after the central ingest, in deterministic site
+	// order. The phase profiler charges the ledger flush and central
 	// ingest to PhaseAccounting and the tap fan-out (live classification
 	// ingest) to PhaseClassify; both Region calls are nil-safe no-ops when
 	// no profiler is attached.
@@ -510,17 +513,14 @@ func Run(cfg Config) (*Result, error) {
 				endAcct()
 				continue
 			}
-			data, err := p.Encode()
-			if err != nil {
-				endAcct()
-				return err
+			err := central.Ingest(p)
+			if err == nil {
+				th.flushed(p)
 			}
-			err = central.IngestWire(data)
 			endAcct()
 			if err != nil {
 				return err
 			}
-			th.flushed(len(p.Jobs), len(data))
 			endTaps := phases.Region(perf.PhaseClassify)
 			for _, tap := range att.Packets {
 				tap(k.Now(), p)

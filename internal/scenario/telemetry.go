@@ -9,6 +9,7 @@
 package scenario
 
 import (
+	"github.com/tgsim/tgmod/internal/accounting"
 	"github.com/tgsim/tgmod/internal/alloc"
 	"github.com/tgsim/tgmod/internal/des"
 	"github.com/tgsim/tgmod/internal/gateway"
@@ -29,14 +30,16 @@ type telemetryHooks struct {
 	wireBytes *telemetry.Counter
 }
 
-// flushed records one accounting flush of jobs records over wireLen bytes.
-func (h *telemetryHooks) flushed(jobs, wireLen int) {
+// flushed records one accounting flush of p. The packet is encoded only
+// here, for its wire byte count, so runs without telemetry never encode.
+func (h *telemetryHooks) flushed(p *accounting.Packet) {
 	if h == nil {
 		return
 	}
+	data, _ := p.Encode() // the binary codec cannot fail
 	h.flushes.Inc()
-	h.flushJobs.Add(float64(jobs))
-	h.wireBytes.Add(float64(wireLen))
+	h.flushJobs.Add(float64(len(p.Jobs)))
+	h.wireBytes.Add(float64(len(data)))
 }
 
 // installTelemetry registers the standard metric families and hooks them

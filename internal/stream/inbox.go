@@ -72,11 +72,48 @@ func (b *inbox) pop() (item, bool) {
 // depth is the number of records currently spooled.
 func (b *inbox) depth() int { return len(b.items) - b.head }
 
+// jobBlockLen is the record count of one jobBlocks block.
+const jobBlockLen = 1024
+
+// jobBlocks retains accepted job records in arrival order, in fixed-size
+// blocks: adding a record never copies the ones before it, as a growing
+// slice would. Finalize, the only reader, copies them out once anyway for
+// its canonical sort.
+type jobBlocks struct {
+	blocks [][]accounting.JobRecord
+}
+
+// add appends a copy of r.
+func (b *jobBlocks) add(r *accounting.JobRecord) {
+	last := len(b.blocks) - 1
+	if last < 0 || len(b.blocks[last]) == jobBlockLen {
+		b.blocks = append(b.blocks, make([]accounting.JobRecord, 0, jobBlockLen))
+		last++
+	}
+	b.blocks[last] = append(b.blocks[last], *r)
+}
+
+// size is the number of records held.
+func (b *jobBlocks) size() int {
+	if len(b.blocks) == 0 {
+		return 0
+	}
+	return (len(b.blocks)-1)*jobBlockLen + len(b.blocks[len(b.blocks)-1])
+}
+
+// appendTo appends every record to dst in arrival order.
+func (b *jobBlocks) appendTo(dst []accounting.JobRecord) []accounting.JobRecord {
+	for _, blk := range b.blocks {
+		dst = append(dst, blk...)
+	}
+	return dst
+}
+
 // Canonical record orders for Finalize: sorts keyed on record identity so
 // the rebuilt database is independent of arrival order.
 
-func canonicalJobs(in []accounting.JobRecord) []accounting.JobRecord {
-	out := append([]accounting.JobRecord(nil), in...)
+func canonicalJobs(in *jobBlocks) []accounting.JobRecord {
+	out := in.appendTo(make([]accounting.JobRecord, 0, in.size()))
 	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
 	return out
 }

@@ -71,7 +71,7 @@ type Processor struct {
 	drift  *driftMonitor
 
 	// Accepted records, in arrival order, for the end-of-stream report.
-	jobs         []accounting.JobRecord
+	jobs         jobBlocks
 	transfers    []accounting.TransferRecord
 	gatewayAttrs []accounting.GatewayAttrRecord
 	storage      []accounting.StorageRecord
@@ -217,9 +217,9 @@ func (p *Processor) process(it item) {
 	}
 	switch it.kind {
 	case kindJob:
-		r := it.job
-		p.jobs = append(p.jobs, r)
-		d := p.online.classify(&r)
+		r := &it.job
+		p.jobs.add(r)
+		d := p.online.classify(r)
 		p.usage.observe(at, d.Modality, r.NUs, d.Confidence)
 		p.drift.observe(at, d.Modality, r.TruthModality)
 	case kindTransfer:
@@ -273,7 +273,7 @@ func (p *Processor) Finalize() (*Final, error) {
 	c := accounting.NewCentral()
 	pkt := &accounting.Packet{
 		Site: "stream", Seq: 1, SentAt: float64(p.now),
-		Jobs:         canonicalJobs(p.jobs),
+		Jobs:         canonicalJobs(&p.jobs),
 		Transfers:    canonicalTransfers(p.transfers),
 		GatewayAttrs: canonicalGatewayAttrs(p.gatewayAttrs),
 		Storage:      canonicalStorage(p.storage),

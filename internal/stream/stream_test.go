@@ -72,8 +72,9 @@ func TestInboxBackpressure(t *testing.T) {
 		t.Errorf("depth after drain = %d, want 0", d)
 	}
 	// Only the accepted records survive, in FIFO order.
-	if len(p.jobs) != 3 || p.jobs[0].JobID != 1 || p.jobs[2].JobID != 3 {
-		t.Errorf("accepted jobs = %+v, want IDs 1..3", p.jobs)
+	if got := p.jobs.appendTo(nil); p.jobs.size() != 3 || len(got) != 3 ||
+		got[0].JobID != 1 || got[1].JobID != 2 || got[2].JobID != 3 {
+		t.Errorf("accepted jobs = %+v, want IDs 1..3", got)
 	}
 	// Drained capacity is reusable.
 	p.OfferJob(accounting.JobRecord{JobID: 6, Cores: 1, EndTime: 11})
@@ -221,6 +222,63 @@ func TestFinalizeMatchesBatch(t *testing.T) {
 	}
 	if fin.Report.TotalNUs != live.TotalNUs() {
 		t.Errorf("finalize total NUs %.3f, live %.3f", fin.Report.TotalNUs, live.TotalNUs())
+	}
+}
+
+// TestProcessorJobBlocks: accepted jobs that cross jobBlockLen boundaries
+// keep their arrival order, and Finalize still rebuilds the canonical
+// database the batch classifier agrees with.
+func TestProcessorJobBlocks(t *testing.T) {
+	rng := simrand.New(7)
+	recs := randomRecords(rng, 2*jobBlockLen+37)
+	perm := rng.Perm(len(recs))
+	p := New(Config{LargestCores: 512})
+	for _, i := range perm {
+		p.OfferJob(recs[i])
+	}
+	p.Advance(des.Time(1 << 30))
+
+	if len(p.jobs.blocks) != 3 || len(p.jobs.blocks[0]) != jobBlockLen ||
+		len(p.jobs.blocks[1]) != jobBlockLen || len(p.jobs.blocks[2]) != 37 {
+		t.Fatalf("blocks hold %d records in %d blocks, want %d+%d+37",
+			p.jobs.size(), len(p.jobs.blocks), jobBlockLen, jobBlockLen)
+	}
+	if p.jobs.size() != len(recs) {
+		t.Fatalf("size = %d, want %d", p.jobs.size(), len(recs))
+	}
+	got := p.jobs.appendTo(nil)
+	for k, i := range perm {
+		if got[k] != recs[i] {
+			t.Fatalf("arrival %d: got job %d, want job %d", k, got[k].JobID, recs[i].JobID)
+		}
+	}
+
+	fin, err := p.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := fin.Central.Jobs()
+	if len(jobs) != len(recs) {
+		t.Fatalf("finalized %d jobs, want %d", len(jobs), len(recs))
+	}
+	for k := range jobs {
+		if jobs[k] != recs[k] { // recs are already in JobID order
+			t.Fatalf("canonical record %d: got job %d, want job %d", k, jobs[k].JobID, recs[k].JobID)
+		}
+	}
+	live := accounting.NewCentral()
+	if err := live.Ingest(&accounting.Packet{Site: "s", Seq: 1, Jobs: recs}); err != nil {
+		t.Fatal(err)
+	}
+	want := core.NewClassifier(core.Config{LargestCores: 512}).Classify(live)
+	if len(fin.Results) != len(want) {
+		t.Fatalf("finalize classified %d jobs, want %d", len(fin.Results), len(want))
+	}
+	for k := range want {
+		if fin.Results[k].JobID != want[k].JobID || fin.Results[k].Modality != want[k].Modality {
+			t.Errorf("result %d: stream %d/%s, batch %d/%s", k, fin.Results[k].JobID,
+				fin.Results[k].Modality, want[k].JobID, want[k].Modality)
+		}
 	}
 }
 
