@@ -44,7 +44,8 @@ func (p SelectPolicy) String() string {
 
 // StageCost estimates seconds to move bytes from the data's home site to a
 // destination site. The scenario layer backs this with the network model;
-// tests can stub it.
+// tests can stub it. It must be a pure function: the broker may call it
+// more than once per candidate.
 type StageCost func(fromSite, toSite string, bytes int64) float64
 
 // Broker is the metascheduler.
@@ -157,27 +158,27 @@ func (b *Broker) selectFrom(cands []*sched.Scheduler, j *job.Job) *sched.Schedul
 				pick = s
 			}
 		}
-	case BestEstimated:
-		pick = b.bestBy(cands, j, func(s *sched.Scheduler, start des.Time) float64 {
-			return float64(start)
-		})
-	case DataAware:
-		pick = b.bestBy(cands, j, func(s *sched.Scheduler, start des.Time) float64 {
-			cost := float64(start)
-			if home, ok := b.DataHome[j.Project]; ok && b.Stage != nil && j.InputBytes > 0 {
-				stage := b.Stage(home, s.M.Site, j.InputBytes)
-				// Staging overlaps the queue wait; the binding term is
-				// whichever finishes later.
-				if stage > cost {
-					cost = stage
-				}
-			}
-			return cost
-		})
+	case BestEstimated, DataAware:
+		pick = b.bestBy(cands, j, b.startScore(j))
 	default:
 		pick = cands[0]
 	}
 	return pick
+}
+
+// startScore returns what the estimating policies rank a candidate's
+// estimated start by: the start itself, or under DataAware, for a job
+// whose input data lives elsewhere, the later of the start and the end of
+// staging begun now (staging overlaps the queue wait). Both are
+// non-decreasing in start, as bestBy requires.
+func (b *Broker) startScore(j *job.Job) func(*sched.Scheduler, des.Time) float64 {
+	home, ok := b.DataHome[j.Project]
+	if b.policy != DataAware || !ok || b.Stage == nil || j.InputBytes <= 0 {
+		return func(_ *sched.Scheduler, start des.Time) float64 { return float64(start) }
+	}
+	return func(s *sched.Scheduler, start des.Time) float64 {
+		return max(float64(start), float64(s.K.Now())+b.Stage(home, s.M.Site, j.InputBytes))
+	}
 }
 
 // Failover re-places a job whose machine failed. The selection policy runs
@@ -199,12 +200,21 @@ func (b *Broker) Failover(j *job.Job) bool {
 	return true
 }
 
+// bestBy returns the candidate with the lowest score of its estimated
+// start, the first in candidate order on a tie, or cands[0] when no
+// candidate can run the job. score must be non-decreasing in start: since
+// EstimateStart never returns a start before now, score(s, now) is then a
+// lower bound on s's score, and a candidate whose bound already reaches
+// the best score so far cannot win and is not estimated at all.
 func (b *Broker) bestBy(cands []*sched.Scheduler, j *job.Job,
 	score func(*sched.Scheduler, des.Time) float64) *sched.Scheduler {
 	best := cands[0]
 	bestScore := 0.0
 	first := true
 	for _, s := range cands {
+		if !first && score(s, s.K.Now()) >= bestScore {
+			continue
+		}
 		start, ok := s.EstimateStart(j.Cores, j.ReqWalltime)
 		if !ok {
 			continue
@@ -250,6 +260,9 @@ func (b *Broker) CoAllocate(parts []*job.Job) (des.Time, error) {
 		var best *sched.Scheduler
 		bestStart := des.Forever
 		for _, s := range b.feasible(j) {
+			if bestStart <= b.K.Now() {
+				break // no estimate precedes now, so nothing later can win
+			}
 			if used[s.M.ID] {
 				continue
 			}

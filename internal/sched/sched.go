@@ -185,20 +185,9 @@ type Scheduler struct {
 
 	// Planning buffers, reused so that a pass allocates nothing once warm:
 	// plan is the profile every engine pass works on (buildProfile), spare
-	// is the gang engine's tentative copy of it.
-	plan, spare profile
-
-	// Estimate cache. The conservative queue plan EstimateStart builds is
-	// a pure function of scheduler state, and the metascheduler polls
-	// every machine for every brokered arrival — profiling shows that
-	// replanning dominating large runs. stateVersion fingerprints every
-	// queue/running/reservation/outage mutation; a matching version means
-	// the planned profile in est (which earliestFit reads without
-	// mutating) is still exact. est is its own buffer, rebuilt in place.
-	stateVersion uint64
-	estVersion   uint64
-	est          profile
-	estTail      des.Time
+	// is the gang engine's tentative copy of it, and est is the estimator's
+	// own buffer, which EstimateStart replans the queue into on every call.
+	plan, spare, est profile
 }
 
 // Stats is a point-in-time snapshot of a scheduler's lifetime counters.
@@ -263,17 +252,12 @@ func (s *Scheduler) EngineName() string { return s.engine.Name() }
 func (s *Scheduler) Subscribe(l Listener) { s.listeners = append(s.listeners, l) }
 
 func (s *Scheduler) emit(kind EventKind, j *job.Job) {
-	// Every lifecycle transition changes the availability picture.
-	s.stateVersion++
 	for _, l := range s.listeners {
 		l(Event{Kind: kind, Job: j})
 	}
 }
 
 func (s *Scheduler) probe(kind string, j *job.Job) {
-	// Decisions without a lifecycle event (reservations, outages) still
-	// move the profile; over-invalidating the estimate cache is harmless.
-	s.stateVersion++
 	if s.Probe != nil {
 		s.Probe(kind, j)
 	}
@@ -556,7 +540,6 @@ func (s *Scheduler) addOutage(start, end des.Time) *outage {
 	}
 	o := &outage{start: start, end: end}
 	s.outages = append(s.outages, o)
-	s.stateVersion++
 	now := s.K.Now()
 	if start >= now {
 		s.K.AtNamed(start, "outage-start", func(*des.Kernel) {
@@ -607,7 +590,6 @@ func (s *Scheduler) reschedule() {
 		return
 	}
 	s.rescheduling = true
-	s.stateVersion++
 	defer func() { s.rescheduling = false }()
 	for {
 		s.needReschedule = false
@@ -875,7 +857,6 @@ func (s *Scheduler) Crash(until des.Time) []*job.Job {
 func (s *Scheduler) Requeue(j *job.Job) {
 	j.State = job.StateQueued
 	s.engine.PushFront(j)
-	s.stateVersion++
 	s.emit(EventQueued, j)
 	s.reschedule()
 }
@@ -900,7 +881,6 @@ func (s *Scheduler) FailNodes(cores int, until des.Time) []*job.Job {
 	s.engine.Disrupted(s)
 	loss := &capLoss{start: now, end: until, cores: cores}
 	s.nodeLosses = append(s.nodeLosses, loss)
-	s.stateVersion++
 	s.K.AtNamed(until, "nodes-restore", func(*des.Kernel) {
 		for i, l := range s.nodeLosses {
 			if l == loss {
@@ -1019,7 +999,6 @@ func (s *Scheduler) Reserve(id string, cores int, start, end des.Time) error {
 	}
 	rv := &reservation{id: id, cores: cores, start: start, end: end}
 	s.resvs = append(s.resvs, rv)
-	s.stateVersion++
 	s.K.AtNamed(start, "resv-start", func(*des.Kernel) { s.activateReservation(rv) })
 	return nil
 }
@@ -1087,52 +1066,39 @@ func (s *Scheduler) activateReservation(rv *reservation) {
 // EstimateStart predicts the earliest start time of a hypothetical
 // (cores, walltime) request submitted now, assuming conservative planning
 // of everything currently queued. The estimate is what TeraGrid's
-// batch-queue-prediction tools exposed to resource selectors.
+// batch-queue-prediction tools exposed to resource selectors. It never
+// precedes now — the plan starts at now and the backlog tail is never
+// negative — which is the lower bound the metascheduler prunes with.
 func (s *Scheduler) EstimateStart(cores int, walltime des.Time) (des.Time, bool) {
 	if cores <= 0 || cores > s.M.BatchCores() {
 		return 0, false
 	}
-	// The planned profile is cached across calls keyed on stateVersion:
-	// until some lifecycle event, reservation, or outage changes the
-	// availability picture, the plan below stays exact, and the common
-	// metascheduler pattern — estimate every machine, then estimate again
-	// for co-allocation — reuses it instead of replanning the whole queue.
-	if len(s.est.points) == 0 || s.estVersion != s.stateVersion {
-		p := &s.est
-		s.fillProfile(p)
-		// The estimator plans the queue in detail up to a depth bound, then
-		// folds anything beyond it into an aggregate backlog term (total
-		// requested core-seconds divided by machine capacity). Detailed
-		// planning keeps estimates honest at normal depths — a truncated
-		// plan would bias optimistic exactly when predictions matter —
-		// while the aggregate tail keeps the call linear when a queue has
-		// blown up. The queue is planned in the engine's priority order.
-		const maxDetailed = 1000
-		queued := s.engine.Queued()
-		detail := len(queued)
-		if detail > maxDetailed {
-			detail = maxDetailed
+	p := &s.est
+	s.fillProfile(p)
+	// The estimator plans the queue in detail up to a depth bound, then
+	// folds anything beyond it into an aggregate backlog term (total
+	// requested core-seconds divided by machine capacity). Detailed
+	// planning keeps estimates honest at normal depths — a truncated plan
+	// would bias optimistic exactly when predictions matter — while the
+	// aggregate tail keeps the call linear when a queue has blown up. The
+	// queue is planned in the engine's priority order.
+	const maxDetailed = 1000
+	now := s.K.Now()
+	queued := s.engine.Queued()
+	detail := min(len(queued), maxDetailed)
+	for _, q := range queued[:detail] {
+		at, ok := p.earliestFit(now, q.Cores, q.ReqWalltime)
+		if ok {
+			p.subtract(at, at+q.ReqWalltime, q.Cores)
 		}
-		for _, q := range queued[:detail] {
-			at, ok := p.earliestFit(s.K.Now(), q.Cores, q.ReqWalltime)
-			if ok {
-				p.subtract(at, at+q.ReqWalltime, q.Cores)
-			}
-		}
-		var tail des.Time
-		if len(queued) > detail {
-			var tailCS float64
-			for _, q := range queued[detail:] {
-				tailCS += float64(q.ReqWalltime) * float64(q.Cores)
-			}
-			tail = des.Time(tailCS / float64(s.M.BatchCores()))
-		}
-		s.estTail = tail
-		s.estVersion = s.stateVersion
 	}
-	at, ok := s.est.earliestFit(s.K.Now(), cores, walltime)
+	var tailCS float64
+	for _, q := range queued[detail:] {
+		tailCS += float64(q.ReqWalltime) * float64(q.Cores)
+	}
+	at, ok := p.earliestFit(now, cores, walltime)
 	if !ok {
 		return 0, false
 	}
-	return at + s.estTail, true
+	return at + des.Time(tailCS/float64(s.M.BatchCores())), true
 }
